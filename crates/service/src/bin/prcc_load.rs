@@ -72,7 +72,8 @@ fn run() -> Result<(), String> {
              \t--value-bytes B  extra payload bytes per update (default 0)\n\
              \t--rate R         target ops/sec across the cluster, 0 = unlimited (default 0)\n\
              \t--batch N        max updates per peer flush (default 64)\n\
-             \t--flush-us U     batch flush interval in microseconds (default 200)\n\
+             \t--flush-us U     peer batch linger in microseconds; 0 ships at the\n\
+             \t                 end of each reactor tick (default 0)\n\
              \t--base-port P    0 = ephemeral ports (default)\n\
              \t--out PATH       report path (default BENCH_service.json)\n\
              \t--data-dir PATH  enable durability: per-node WAL + snapshots under PATH\n\
@@ -196,7 +197,7 @@ fn run() -> Result<(), String> {
     );
     let cfg = ServiceConfig {
         batch_max: args.parse_or("--batch", 64usize)?.max(1),
-        flush_interval: Duration::from_micros(args.parse_or("--flush-us", 200u64)?),
+        flush_interval: Duration::from_micros(args.parse_or("--flush-us", 0u64)?),
         pad_bytes: value_bytes,
         data_dir: data_dir.clone(),
         snapshot_every: args.parse_or("--snapshot-every", 4096u64)?,
@@ -357,14 +358,22 @@ fn run() -> Result<(), String> {
                     };
                     lane.at += 1;
                     remaining -= 1;
-                    if let Some(interval) = interval {
-                        let now = Instant::now();
-                        if next_at > now {
-                            thread::sleep(next_at - now);
+                    // Paced ops are timed from their due time, not from
+                    // after the pacing sleep: an op held back by a slow
+                    // predecessor is charged the wait (no coordinated
+                    // omission).
+                    let started = match interval {
+                        Some(interval) => {
+                            let due = next_at;
+                            let now = Instant::now();
+                            if due > now {
+                                thread::sleep(due - now);
+                            }
+                            next_at += interval;
+                            due
                         }
-                        next_at += interval;
-                    }
-                    let started = Instant::now();
+                        None => Instant::now(),
+                    };
                     let is_read = read_pct > 0.0 && lane.rng.gen_bool(read_pct);
                     if is_read {
                         result.reads += 1;

@@ -28,7 +28,8 @@ fn run() -> Result<(), String> {
              \t--base-port P    first port; node i uses P+2i (peer) and P+2i+1 (client);\n\
              \t                 0 = ephemeral (default)\n\
              \t--batch N        max updates per peer flush (default 64)\n\
-             \t--flush-us U     batch flush interval in microseconds (default 200)\n\
+             \t--flush-us U     peer batch linger in microseconds; 0 ships at the\n\
+             \t                 end of each reactor tick (default 0)\n\
              \t--value-bytes B  extra payload bytes per update (default 0)\n\
              \t--data-dir PATH  enable durability: per-node WAL + snapshots under PATH\n\
              \t                 (nodes recover their state from it on restart)\n\
@@ -57,7 +58,7 @@ fn run() -> Result<(), String> {
     let base_port = args.parse_or("--base-port", 0u16)?;
     let cfg = ServiceConfig {
         batch_max: args.parse_or("--batch", 64usize)?.max(1),
-        flush_interval: Duration::from_micros(args.parse_or("--flush-us", 200u64)?),
+        flush_interval: Duration::from_micros(args.parse_or("--flush-us", 0u64)?),
         pad_bytes: args.parse_or("--value-bytes", 0usize)?,
         data_dir: args.value("--data-dir").map(std::path::PathBuf::from),
         snapshot_every: args.parse_or("--snapshot-every", 4096u64)?,

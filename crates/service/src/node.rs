@@ -15,10 +15,13 @@
 //!   implementing [`Driver`] (see the `// lint: reactor` fence at the
 //!   bottom of this file): [`PeerOut`] dials a peer's update listener
 //!   (redialing with seeded, bounded backoff via one-shot timers if the
-//!   link drops), handshakes, then coalesces outgoing updates — a batch
-//!   closes when it reaches `batch_max` updates or `flush_interval`
-//!   elapses, whichever is first, and the whole flush is emitted as *one*
-//!   multi-partition frame carrying a section per partition present;
+//!   link drops), handshakes, then coalesces outgoing updates by
+//!   event-loop cadence — everything one reactor tick delivered ships at
+//!   the end of that tick, so a batch grows under load and adds no wait
+//!   when traffic is light (a non-zero `flush_interval` instead lets a
+//!   partial batch linger until its timer fires), in `batch_max`-update
+//!   chunks, each emitted as *one* multi-partition frame carrying a
+//!   section per partition present;
 //!   [`PeerIn`] answers the handshake with the acknowledged resume
 //!   offset, incrementally decodes multi-partition flush frames, fans
 //!   their sections to the core, and streams acknowledgement frames back;
@@ -113,9 +116,10 @@ use std::time::{Duration, Instant};
 const WIRE_SEQ_MASK: u64 = (1 << 40) - 1;
 
 /// Maximum messages one core sweep drains before committing the staged
-/// WAL batch and releasing the sweep's replies. Bounds both the latency
-/// any one reply can be held back and the staged-batch memory of a
-/// flooded node; an idle node commits after every single message.
+/// WAL batch and releasing the sweep's replies, and the most staged
+/// records a run of effect-free sweeps may carry before committing anyway.
+/// Bounds both the latency any one reply can be held back and the
+/// staged-batch memory of a flooded node.
 const SWEEP_MAX: usize = 256;
 
 /// How many consistent-cut snapshots the core keeps, newest-first. Cut
@@ -135,7 +139,10 @@ pub struct ServiceConfig {
     /// Maximum updates coalesced into one peer flush (emitted as a single
     /// multi-partition frame).
     pub batch_max: usize,
-    /// How long a non-full batch may wait for more updates.
+    /// How long a non-full batch may linger for more updates. Zero (the
+    /// default) means no linger: a peer link ships everything queued for
+    /// it at the end of the reactor tick that delivered it. A non-zero
+    /// value holds a partial batch until this timer fires.
     pub flush_interval: Duration,
     /// Extra bytes shipped with each update (simulated value size).
     pub pad_bytes: usize,
@@ -195,7 +202,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             batch_max: 64,
-            flush_interval: Duration::from_micros(200),
+            flush_interval: Duration::ZERO,
             pad_bytes: 0,
             connect_timeout: Duration::from_secs(10),
             data_dir: None,
@@ -784,6 +791,14 @@ impl<P: Protocol> Core<P> {
         Some(sends)
     }
 
+    /// Records a peer frame's seal barrier. Barriers are max-monotone and
+    /// senders omit an unchanged one (decoded as 0), so an absent barrier
+    /// leaves the link's recorded value as it was.
+    fn raise_seal_barrier(&mut self, peer: usize, barrier: u64) {
+        let link = &mut self.links[peer];
+        link.seal_barrier = link.seal_barrier.max(barrier);
+    }
+
     /// Applies one peer flush frame's sections: dedups against the link's
     /// receive watermark, feeds the replicas, and records apply events.
     /// Shared by the live path and WAL replay.
@@ -1331,7 +1346,7 @@ struct Durable {
     /// baseline.
     snapshot_bytes: u64,
     first_snapshot_bytes: u64,
-    /// Encoded-but-unwritten records of the current sweep: contiguous
+    /// Encoded-but-unwritten records since the last commit: contiguous
     /// payload bytes plus `(start, len)` spans. [`Durable::commit`] hands
     /// all spans to the WAL as one group-committed batch.
     staged_buf: Vec<u8>,
@@ -1363,9 +1378,9 @@ impl Durable {
         })
     }
 
-    /// Whether any records are staged but not yet committed.
-    fn staged(&self) -> bool {
-        !self.staged_spans.is_empty()
+    /// How many records are staged but not yet committed.
+    fn staged_records(&self) -> usize {
+        self.staged_spans.len()
     }
 
     /// Writes every staged record as one framed batch: one buffer, one
@@ -1801,6 +1816,7 @@ where
             batch: Vec::new(),
             covered: 0,
             barrier: 0,
+            barrier_shipped: 0,
             acked: 0,
             generation: 0,
             deadline: None,
@@ -1983,10 +1999,14 @@ fn respond(io: &CoreIo, conn: ConnId, response: &ClientResponse) {
 
 /// The node's event loop, organized as *sweeps*: one blocking receive
 /// opens a sweep, an opportunistic drain extends it (up to [`SWEEP_MAX`]
-/// messages), and every WAL record the sweep's messages stage is
-/// committed as one group-committed batch at sweep end — one buffer, one
-/// `write`, one fsync tick — before any of the sweep's deferred effects
-/// (replies, acks, peer sends) are released. Under load this collapses
+/// messages), and every WAL record staged so far is committed as one
+/// group-committed batch at sweep end — one buffer, one `write`, one
+/// fsync tick — before any of the sweep's deferred effects (replies,
+/// acks, peer sends) are released. A sweep that releases no effect —
+/// typically a peer frame between streamed acks — leaves its records
+/// staged for the next commit: nothing that depends on them has left the
+/// node, and a crash before that commit loses only unacknowledged
+/// receipts, which their senders retransmit. Under load this collapses
 /// the historical ~1.55 WAL writes per operation into a fraction of a
 /// write per operation without weakening durability: an effect escapes
 /// only after its record is on disk, exactly as in the
@@ -2076,10 +2096,13 @@ fn core_loop<P>(
                                 ("register", u64::from(register.0)),
                             ],
                         );
+                        // The reply goes first: replication work runs in
+                        // the same tick, and the client should not queue
+                        // behind it.
+                        deferred.push(Deferred::WriteReply(conn, true));
                         for (peer, seq, p, update) in sends {
                             deferred.push(Deferred::Send(peer, seq, p, update));
                         }
-                        deferred.push(Deferred::WriteReply(conn, true));
                         if trace_compact_at > 0 {
                             compact_traces(&mut core, &mut durable, map, trace_compact_at);
                         }
@@ -2121,8 +2144,7 @@ fn core_loop<P>(
                         // Raise the link's seal barrier before applying, so
                         // the straggler fast path covers this very frame's
                         // own resend overlap.
-                        let link = &mut core.links[peer];
-                        link.seal_barrier = link.seal_barrier.max(barrier);
+                        core.raise_seal_barrier(peer, barrier);
                         let n_updates: u64 = sections.iter().map(|(_, us)| us.len() as u64).sum();
                         if let Some(d) = durable.as_mut() {
                             // Frame-level sampling for the receipt append: the
@@ -2269,10 +2291,12 @@ fn core_loop<P>(
                     deferred.push(Deferred::Metrics(conn, core.tel.registry.snapshot()));
                 }
                 CoreMsg::Crash => {
-                    // Drop the sweep on the floor: nothing staged commits and
-                    // nothing deferred escapes — indistinguishable from the
-                    // crash landing before these messages arrived, which is
-                    // exactly the point the recovery suite replays from.
+                    // Drop the sweep on the floor: nothing staged commits
+                    // (this sweep's records, nor any an effect-free earlier
+                    // sweep left staged) and nothing deferred escapes —
+                    // indistinguishable from the crash landing before these
+                    // messages arrived, which is exactly the point the
+                    // recovery suite replays from.
                     core.tel.flight.record("crash", &[]);
                     dump = true;
                     deferred.clear();
@@ -2289,33 +2313,44 @@ fn core_loop<P>(
             }
         }
 
-        // Sweep end: one group-committed WAL write covers every record the
-        // sweep staged; only then do the sweep's effects leave the node.
-        if let Some(d) = durable.as_mut() {
-            if d.staged() {
-                if let Err(e) = d.commit() {
-                    // Fail-stop: a failed write may have left partial bytes
-                    // in the log, and any further append would bury that
-                    // tear mid-file — turning recoverable torn-tail damage
-                    // into unrecoverable corruption. Every deferred effect
-                    // is dropped (unreplied, unacked), so clients see a
-                    // dead node and peers retransmit after restart.
-                    eprintln!(
-                        "prcc-service[{node}]: WAL append failed, stopping (restart \
-                         recovers the log): {e}"
-                    );
-                    core.tel.flight.record("fail_stop_wal_append", &[]);
-                    dump = true;
-                    deferred.clear();
-                    kill();
-                    break;
-                }
+        // Seal barriers advance only under the acks this sweep processed;
+        // ship any new value alongside the sweep's other effects.
+        for (peer, link) in core.links.iter_mut().enumerate() {
+            if link.sealed_high > link.barrier_sent {
+                link.barrier_sent = link.sealed_high;
+                deferred.push(Deferred::Barrier(peer, link.sealed_high));
             }
         }
-        for &t0 in &wal_stamps {
-            core.tel.wal_append_us.record(wall_us().saturating_sub(t0));
+        // Sweep end: one group-committed WAL write covers every record
+        // staged since the last commit; only then do the sweep's effects
+        // leave the node. Without effects to release, the records wait for
+        // the next commit (bounded by SWEEP_MAX staged records).
+        if let Some(d) = durable
+            .as_mut()
+            .filter(|d| !deferred.is_empty() || d.staged_records() >= SWEEP_MAX)
+        {
+            if let Err(e) = d.commit() {
+                // Fail-stop: a failed write may have left partial bytes
+                // in the log, and any further append would bury that
+                // tear mid-file — turning recoverable torn-tail damage
+                // into unrecoverable corruption. Every deferred effect
+                // is dropped (unreplied, unacked), so clients see a
+                // dead node and peers retransmit after restart.
+                eprintln!(
+                    "prcc-service[{node}]: WAL append failed, stopping (restart \
+                     recovers the log): {e}"
+                );
+                core.tel.flight.record("fail_stop_wal_append", &[]);
+                dump = true;
+                deferred.clear();
+                kill();
+                break;
+            }
+            for &t0 in &wal_stamps {
+                core.tel.wal_append_us.record(wall_us().saturating_sub(t0));
+            }
+            wal_stamps.clear();
         }
-        wal_stamps.clear();
         let needs_sync = deferred
             .iter()
             .any(|d| matches!(d, Deferred::Ack(..) | Deferred::JoinReply(..)));
@@ -2325,14 +2360,6 @@ fn core_loop<P>(
             deferred.clear();
             kill();
             break;
-        }
-        // Seal barriers advance only under the acks this sweep processed;
-        // ship any new value alongside the sweep's other effects.
-        for (peer, link) in core.links.iter_mut().enumerate() {
-            if link.sealed_high > link.barrier_sent {
-                link.barrier_sent = link.sealed_high;
-                deferred.push(Deferred::Barrier(peer, link.sealed_high));
-            }
         }
         for effect in deferred.drain(..) {
             match effect {
@@ -2500,7 +2527,8 @@ struct PeerOut<C> {
     /// Commands that arrived mid-handshake, replayed in order once the
     /// resume window has been retransmitted.
     pending: VecDeque<PeerCmd<C>>,
-    /// The open batch: updates waiting for the flush timer or a full
+    /// The open batch: updates waiting for the end of the tick (or the
+    /// linger timer, when one is configured) or a full
     /// `batch_max * MAX_FLUSH_FRAMES` backlog.
     batch: Vec<(u64, PartitionId, Update<C>)>,
     /// Highest sequence already transmitted on this connection (the
@@ -2508,8 +2536,12 @@ struct PeerOut<C> {
     /// below it still arriving through the command queue are duplicates
     /// of what the resume sent and are dropped before encoding.
     covered: u64,
-    /// The link's seal barrier, carried in every flush frame.
+    /// The link's seal barrier, carried in a flush frame when it advanced.
     barrier: u64,
+    /// The barrier last written on this connection (reset on connect): a
+    /// frame carries the barrier only when it exceeds this, and an absent
+    /// barrier leaves the receiver's recorded one unchanged.
+    barrier_shipped: u64,
     /// The peer's acknowledged offset from the current handshake.
     acked: u64,
     /// Connection generation: counts successful connects.
@@ -2518,7 +2550,7 @@ struct PeerOut<C> {
     deadline: Option<Instant>,
     backoff: Duration,
     attempt: u64,
-    /// Whether the flush timer is armed for the open batch.
+    /// Whether the linger timer is armed for the open batch.
     flush_timer: bool,
 }
 
@@ -2558,9 +2590,15 @@ impl<C: WireClock> PeerOut<C> {
             // `frames_per_flush` a binding regression signal for the
             // prcc-load `--max-frames-per-flush` gate.
             self.counters.flushes.add(1);
+            let barrier = if self.barrier > self.barrier_shipped {
+                self.barrier_shipped = self.barrier;
+                self.barrier
+            } else {
+                0
+            };
             let mut frame = ctx.pool().lease(256);
             if append_frame(&mut frame, |out| {
-                encode_multi_batch_sealed_into(&sections, self.pad_bytes, self.barrier, out)
+                encode_multi_batch_sealed_into(&sections, self.pad_bytes, barrier, out)
             })
             .is_err()
             {
@@ -2600,8 +2638,9 @@ impl<C: WireClock> PeerOut<C> {
 
     /// Flushes the open batch: drops entries the resume already covered,
     /// then ships complete `batch_max` chunks — all of it when `force`
-    /// (the flush timer's deadline semantics), only full chunks otherwise
-    /// (a partial tail keeps accumulating under its timer).
+    /// (tick end without linger, or the linger timer's deadline), only
+    /// full chunks otherwise (a partial tail keeps accumulating, under the
+    /// linger timer when one is configured, else until the tick ends).
     fn flush(&mut self, ctx: &mut Ctx<'_>, force: bool) {
         let covered = self.covered;
         self.batch.retain(|(seq, _, _)| *seq > covered);
@@ -2621,7 +2660,7 @@ impl<C: WireClock> PeerOut<C> {
         if self.batch.is_empty() {
             self.flush_timer = false;
             ctx.clear_timer();
-        } else if !self.flush_timer {
+        } else if !self.flush_timer && !self.flush_interval.is_zero() {
             self.flush_timer = true;
             ctx.set_timer(self.flush_interval);
         }
@@ -2678,7 +2717,25 @@ impl<C: WireClock> PeerOut<C> {
         barrier: u64,
     ) {
         self.barrier = self.barrier.max(barrier);
-        // Everything up to the window's tail is covered by this resume:
+        // A cut marker parked mid-handshake keeps its channel position:
+        // window entries the core issued after it (their commands sit
+        // behind it in the backlog) are left to the backlog replay below,
+        // which ships them after the marker. Sending them with the resume
+        // would let the peer apply updates issued after the origin's cut
+        // before it sees that cut's marker.
+        let first_after_marker = self
+            .pending
+            .iter()
+            .skip_while(|cmd| !matches!(cmd, PeerCmd::Marker(_)))
+            .find_map(|cmd| match cmd {
+                PeerCmd::Update(seq, ..) => Some(*seq),
+                _ => None,
+            });
+        let resume = first_after_marker.map_or(window.len(), |first| {
+            window.partition_point(|&(seq, _, _)| seq < first)
+        });
+        let window = &window[..resume];
+        // Everything up to the resumed tail is covered by this resume:
         // entries still sitting in the command backlog at or below
         // `covered` are duplicates of what the resume sends and are
         // dropped by the flush filter.
@@ -2692,7 +2749,7 @@ impl<C: WireClock> PeerOut<C> {
         } else {
             0
         };
-        self.transmit(ctx, &window, false);
+        self.transmit(ctx, window, false);
         self.counters.resent.add(resent);
         self.state = OutState::Established;
         while let Some(cmd) = self.pending.pop_front() {
@@ -2713,6 +2770,9 @@ impl<C: WireClock> Driver for PeerOut<C> {
         // acknowledged resume offset.
         self.generation += 1;
         self.state = OutState::AwaitAck;
+        // A fresh connection's receiver may have restarted: the first
+        // frame that follows carries the barrier again.
+        self.barrier_shipped = 0;
         let mut frame = ctx.pool().lease(self.hello.len() + 8);
         if append_frame(&mut frame, |out| out.extend_from_slice(&self.hello)).is_ok() {
             self.counters.bytes_out.add(frame.len() as u64);
@@ -2791,7 +2851,7 @@ impl<C: WireClock> Driver for PeerOut<C> {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
         match self.state {
-            // The batching deadline: ship the open batch, full or not.
+            // The linger deadline: ship the open batch, full or not.
             OutState::Established => {
                 self.flush_timer = false;
                 self.flush(ctx, true);
@@ -2807,10 +2867,11 @@ impl<C: WireClock> Driver for PeerOut<C> {
     }
 
     fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
-        // End of a tick that delivered commands: ship complete chunks
-        // now; a partial tail waits for more traffic or its timer.
+        // End of a tick that delivered commands: without a linger, ship
+        // everything the tick queued; with one, ship complete chunks now
+        // and let a partial tail wait for more traffic or its timer.
         if self.state == OutState::Established {
-            self.flush(ctx, false);
+            self.flush(ctx, self.flush_interval.is_zero());
         }
     }
 
@@ -3167,5 +3228,31 @@ mod tests {
             applied_log,
             "neither duplicate re-applied anything"
         );
+    }
+
+    #[test]
+    fn barrier_less_frames_keep_the_recorded_barrier() {
+        let (protocol, map, mut origin) = ring_core(0, 64);
+        let (peer, seq, partition, update) = remote_write(&protocol, &map, &mut origin);
+        let sections: FlushSections<_> = vec![(partition, vec![(seq, update)])];
+
+        let (_, _, mut receiver) = ring_core(peer, 64);
+        receiver.raise_seal_barrier(0, 0);
+        receiver.apply_sections(&protocol, 0, sections.clone());
+        assert_eq!(receiver.links[0].seal_barrier, 0);
+
+        // A frame that carried the barrier, then frames that omit it (the
+        // sender writes a barrier only when it advanced): the recorded
+        // barrier holds, and stragglers at or below it still take the
+        // fast path.
+        receiver.raise_seal_barrier(0, seq);
+        receiver.raise_seal_barrier(0, 0);
+        assert_eq!(receiver.links[0].seal_barrier, seq);
+        receiver.apply_sections(&protocol, 0, sections.clone());
+        receiver.raise_seal_barrier(0, 0);
+        receiver.apply_sections(&protocol, 0, sections);
+        assert_eq!(receiver.links[0].seal_barrier, seq);
+        assert_eq!(receiver.barrier_skips, 2);
+        assert_eq!(receiver.duplicates_dropped, 2);
     }
 }

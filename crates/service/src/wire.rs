@@ -73,6 +73,16 @@
 //! (`reactor_wakeups`, `reactor_events`, `reactor_rearms`,
 //! `reactor_outq_hiwat`).
 //!
+//! Version 9 trims the per-update framing that v6 added. An update's issue
+//! stamp and its pad length now share one *flag varint*,
+//! `(pad << 1) | sampled`, and the stamp varint follows only when the
+//! update is sampled — an unsampled update (15 of every 16 at the default
+//! sampling rate) carries no stamp bytes at all. The update layout inside a
+//! section is `seq, flags, [stamp], update, pad bytes`. Senders also write
+//! the trailing seal barrier only when it advanced since the previous frame
+//! on the same connection; an absent barrier still reads as 0, so the
+//! receiver's max-merge leaves its recorded barrier unchanged.
+//!
 //! Causal timestamps ship counters only; index sets and the partition
 //! layout are static configuration carried once in the handshake.
 
@@ -97,9 +107,10 @@ use std::io::{self, Read, Write};
 /// issue stamps and the client API gained `Metrics`, to 7 when the
 /// consistent-cut audit landed (peer marker frames, client `Cut`
 /// request/response), to 8 when flush frames gained the trailing seal
-/// barrier and the status payload the reactor counters; peers at any
-/// other version are refused at the handshake.
-pub const WIRE_VERSION: u64 = 8;
+/// barrier and the status payload the reactor counters, to 9 when an
+/// update's issue stamp and pad length merged into one flag varint; peers
+/// at any other version are refused at the handshake.
+pub const WIRE_VERSION: u64 = 9;
 
 /// Upper bound on accepted frame payloads (64 MiB) — a garbage or hostile
 /// length prefix is refused with a descriptive error *before* any
@@ -464,15 +475,19 @@ fn encode_updates<C: WireClock>(updates: &[Update<C>], pad: usize, out: &mut Vec
 fn encode_seq_updates<C: WireClock>(updates: &[(u64, Update<C>)], pad: usize, out: &mut Vec<u8>) {
     for (seq, u) in updates {
         write_varint(out, *seq);
-        // v6: the origin's wall-clock issue stamp (micros since epoch)
-        // rides next to the sequence so recipients can derive visibility
-        // latency locally. 0 = the update was not sampled for tracing.
+        // v9 flag varint: the pad length shifted left, the low bit set when
+        // the update was sampled for tracing. Only a sampled update carries
+        // the origin's wall-clock issue stamp (micros since epoch), from
+        // which recipients derive visibility latency locally.
         // `Update::encode_wire` deliberately omits it — the same codec
         // writes WAL receipts and snapshots, which must stay free of
         // wall-clock bytes.
-        write_varint(out, u.issued_at.0);
+        let stamp = u.issued_at.0;
+        write_varint(out, ((pad as u64) << 1) | u64::from(stamp != 0));
+        if stamp != 0 {
+            write_varint(out, stamp);
+        }
         u.encode_wire(out);
-        write_varint(out, pad as u64);
         out.resize(out.len() + pad, 0);
     }
 }
@@ -491,11 +506,16 @@ where
     let mut updates = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         let seq = get_varint(payload, at)?;
-        let stamp = get_varint(payload, at)?;
+        let flags = get_varint(payload, at)?;
+        let stamp = if flags & 1 != 0 {
+            get_varint(payload, at)?
+        } else {
+            0
+        };
         let mut u = Update::decode_wire(payload, at, &mut *make_clock)
             .ok_or_else(|| bad_data("malformed update"))?;
         u.issued_at = VirtualTime(stamp);
-        let pad = get_varint(payload, at)? as usize;
+        let pad = usize::try_from(flags >> 1).map_err(|_| bad_data("pad length"))?;
         if payload.len() - *at < pad {
             return Err(bad_data("truncated pad"));
         }
@@ -573,10 +593,11 @@ pub fn encode_multi_batch_into<C: WireClock>(
 }
 // lint: end-hot-path
 
-/// The v8 flush encoder: [`encode_multi_batch_into`] plus the trailing
-/// seal barrier. A zero barrier is *omitted* (not encoded as a zero
-/// varint), keeping barrier-free frames byte-identical to v7 — the WAL
-/// receipt codec and every pre-v8 byte-level test rely on that.
+/// The flush encoder: [`encode_multi_batch_into`] plus the trailing seal
+/// barrier. A zero barrier is *omitted* (not encoded as a zero varint), so
+/// a barrier-free frame is exactly the [`encode_multi_batch_into`] bytes;
+/// senders pass 0 whenever the barrier has not advanced since their
+/// previous frame on the connection.
 // lint: hot-path
 pub fn encode_multi_batch_sealed_into<C: WireClock>(
     sections: &FlushSections<C>,
@@ -678,7 +699,7 @@ where
 
 /// [`decode_peer_batches`] plus the v8 seal barrier: the origin's highest
 /// link sequence already acknowledged by this receiver at encode time
-/// (0 when absent — barrier-free v8 frames and all legacy framings). The
+/// (0 when absent — barrier-free frames and all legacy framings). The
 /// node's receive path consumes the barrier to fast-drop straggler
 /// deliveries of already-sealed issues without a watermark re-check.
 pub fn decode_sealed_batches<C, F>(

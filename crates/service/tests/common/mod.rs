@@ -27,11 +27,12 @@ use std::time::{Duration, Instant};
 /// How long a suite waits for cluster quiescence before declaring a stall.
 pub const DRAIN: Duration = Duration::from_secs(30);
 
-/// The suites' standard low-latency batching configuration.
+/// The suites' standard configuration: small batches, and the default
+/// zero-linger flush (peer links ship at the end of each reactor tick), so
+/// the suites exercise the shipping path.
 pub fn quick_cfg() -> ServiceConfig {
     ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         ..ServiceConfig::default()
     }
 }

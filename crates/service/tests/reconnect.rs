@@ -18,7 +18,10 @@ use common::{accept_handshake, read_hello};
 use prcc_clock::{EdgeProtocol, Protocol};
 use prcc_graph::{topologies, PartitionMap, RegisterId};
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
-use prcc_service::wire::{decode_peer_batches, encode_hello_ack, read_frame, write_frame};
+use prcc_service::wire::{
+    decode_cut_marker, decode_peer_batches, encode_hello_ack, read_frame, write_frame,
+    TAG_CUT_MARKER,
+};
 use prcc_service::ServiceClient;
 use std::collections::BTreeSet;
 use std::net::TcpListener;
@@ -274,6 +277,43 @@ fn no_update_loss_when_link_dies_mid_flush() {
         (1..=8).collect::<Vec<_>>(),
         "link seqs must be contiguous from the acknowledged offset"
     );
+
+    rig.client.shutdown().expect("shutdown");
+    rig.node.join();
+}
+
+/// A cut marker issued while the link is still handshaking keeps its
+/// channel position: the resume window that opens the connection already
+/// holds an update issued *after* the marker, and that update must still
+/// reach the peer after the marker — or the peer would apply it inside a
+/// cut whose origin had not yet issued it.
+#[test]
+fn marker_parked_mid_handshake_keeps_its_channel_position() {
+    let mut rig = rig();
+
+    // Take the dial and the hello but hold the hello-ack: the link stays
+    // mid-handshake, so everything below parks in its command backlog.
+    let (mut conn, _) = rig.fake_peer.accept().expect("accept");
+    read_hello(&mut conn);
+    assert!(rig.client.write(RegisterId(0), 1).expect("write 1"));
+    rig.client.cut_start(7).expect("cut start");
+    assert!(rig.client.write(RegisterId(0), 2).expect("write 2"));
+
+    write_frame(&mut conn, &encode_hello_ack(0)).expect("write hello ack");
+    let mut frame = || {
+        read_frame(&mut conn)
+            .expect("frame io")
+            .expect("frame after the handshake")
+    };
+    assert_eq!(frame_updates(&frame(), &rig.protocol), vec![(1, 1)]);
+    let marker = frame();
+    assert_eq!(
+        marker.first(),
+        Some(&TAG_CUT_MARKER),
+        "marker must come second"
+    );
+    assert_eq!(decode_cut_marker(&marker).expect("marker"), 7);
+    assert_eq!(frame_updates(&frame(), &rig.protocol), vec![(2, 2)]);
 
     rig.client.shutdown().expect("shutdown");
     rig.node.join();

@@ -480,3 +480,61 @@ fn empty_and_double_crash_recovery() {
     cluster.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A sweep that releases no effect leaves its WAL records staged for the
+/// next commit: a node that only receives peer frames (no clients, no
+/// streamed acks) takes far fewer WAL writes than it logs receipts. A
+/// crash that loses such staged receipts loses nothing: they were never
+/// acknowledged, so the sender resends them to the restarted node.
+#[test]
+fn effect_free_receipts_ride_the_next_commit() {
+    let dir = scratch_dir("ride-commit");
+    let cfg = ServiceConfig {
+        // Acknowledge only at the handshake: receipt sweeps then release
+        // nothing.
+        ack_every: 0,
+        ..durable_cfg(dir.clone(), 0)
+    };
+    let mut cluster = launch(1, 3, &cfg);
+    let registers: Vec<RegisterId> = cluster
+        .map()
+        .graph()
+        .registers_of(prcc_graph::ReplicaId(0))
+        .iter()
+        .collect();
+    let mut writer = cluster.client(0).expect("client");
+    let mut write_burst = |from: u64, to: u64| {
+        for v in from..to {
+            let register = registers[v as usize % registers.len()];
+            assert!(writer
+                .write_in(prcc_graph::PartitionId(0), register, v)
+                .expect("write io"));
+        }
+    };
+
+    write_burst(0, 400);
+    drain_or_dump(&cluster, "receipts");
+    let metrics = cluster.metrics_per_node().expect("metrics");
+    for (node, m) in metrics.iter().enumerate().skip(1) {
+        let appends = m.gauge("wal_appends").expect("wal_appends gauge");
+        let writes = m.gauge("wal_writes").expect("wal_writes gauge");
+        // One receipt per peer frame; a frame may carry several updates.
+        assert!(appends >= 20, "node {node} logged only {appends} records");
+        assert!(
+            writes * 4 < appends,
+            "node {node}: {writes} WAL writes for {appends} records — \
+             effect-free sweeps are committing on their own"
+        );
+    }
+
+    // Crash a receiver while its latest receipts may still be staged, then
+    // restart it: the resend from the sender's window fills the gap.
+    write_burst(400, 460);
+    thread::sleep(Duration::from_millis(50));
+    cluster.crash_node(1);
+    cluster.restart_node(1).expect("restart");
+    drain_or_dump(&cluster, "post-restart");
+    assert_all_partitions_consistent(&cluster);
+    cluster.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}

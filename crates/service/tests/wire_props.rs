@@ -3,14 +3,16 @@
 //! partition tags on every frame.
 
 use prcc_checker::UpdateId;
+use prcc_clock::encoding::write_varint;
 use prcc_clock::{CompressedProtocol, EdgeProtocol, Protocol, VectorProtocol, WireClock};
 use prcc_core::Update;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId, ReplicaId, ShareGraph};
 use prcc_net::VirtualTime;
 use prcc_service::wire::{
     decode_batch, decode_multi_batch, decode_partition_map, decode_peer_batches, decode_peer_hello,
-    decode_share_graph, encode_batch, encode_multi_batch, encode_partition_map, encode_peer_hello,
-    encode_share_graph, PeerHello,
+    decode_sealed_batches, decode_share_graph, encode_batch, encode_multi_batch,
+    encode_multi_batch_into, encode_multi_batch_sealed_into, encode_partition_map,
+    encode_peer_hello, encode_share_graph, FlushSections, PeerHello,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -291,17 +293,117 @@ proptest! {
         }
     }
 
+    /// v9 flush frames round-trip every combination of sampled/unsampled
+    /// issue stamp, pad 0/256 and seal barrier present/absent — and only a
+    /// sampled update pays for its stamp: the sampled frame is longer than
+    /// the unsampled one by exactly the stamps' varint bytes.
+    #[test]
+    fn v9_frames_round_trip_every_flag_combination(
+        g in arb_share_graph(),
+        seed in 0u64..500,
+        seq_base in 1u64..1 << 40,
+        stamp in 1u64..1 << 56,
+        barrier in 1u64..1 << 40,
+    ) {
+        let p = EdgeProtocol::new(g.clone());
+        let updates = build_updates(&p, &g, seed);
+        prop_assume!(!updates.is_empty());
+        let section = |sampled: bool| -> FlushSections<_> {
+            let updates = updates
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(k, mut u)| {
+                    if sampled {
+                        u.issued_at = VirtualTime(stamp + k as u64);
+                    }
+                    (seq_base + k as u64, u)
+                })
+                .collect();
+            vec![(PartitionId(3), updates)]
+        };
+        let make = |i: ReplicaId| (i.index() < g.num_replicas()).then(|| p.new_clock(i));
+        for pad in [0usize, 256] {
+            for with_barrier in [false, true] {
+                let barrier = if with_barrier { barrier } else { 0 };
+                let mut lens = Vec::new();
+                for sampled in [false, true] {
+                    let sections = section(sampled);
+                    let mut payload = Vec::new();
+                    encode_multi_batch_sealed_into(&sections, pad, barrier, &mut payload);
+                    let (back, got_barrier) =
+                        decode_sealed_batches(&payload, make).expect("well-formed v9 frame");
+                    prop_assert_eq!(got_barrier, barrier);
+                    prop_assert_eq!(back.len(), 1);
+                    prop_assert_eq!(back[0].0, PartitionId(3));
+                    for ((aseq, a), (bseq, b)) in back[0].1.iter().zip(&sections[0].1) {
+                        prop_assert_eq!(aseq, bseq);
+                        prop_assert_eq!(
+                            (a.id, a.issuer, a.register, a.value, a.issued_at),
+                            (b.id, b.issuer, b.register, b.value, b.issued_at)
+                        );
+                        prop_assert_eq!(&a.clock, &b.clock);
+                    }
+                    prop_assert_eq!(back[0].1.len(), sections[0].1.len());
+                    // Without a barrier the sealed encoder is the plain one.
+                    if !with_barrier {
+                        let mut plain = Vec::new();
+                        encode_multi_batch_into(&sections, pad, &mut plain);
+                        prop_assert_eq!(&plain, &payload);
+                    }
+                    lens.push(payload.len());
+                }
+                let mut stamps = Vec::new();
+                for k in 0..updates.len() {
+                    write_varint(&mut stamps, stamp + k as u64);
+                }
+                prop_assert_eq!(lens[1] - lens[0], stamps.len());
+            }
+        }
+    }
+
+    /// A flag varint whose pad length runs past the end of the frame is
+    /// refused, whether the pad fits one varint byte or needs many.
+    #[test]
+    fn flag_varint_pad_overrun_rejected(
+        g in arb_share_graph(),
+        seed in 0u64..200,
+        pad in 1u64..1 << 40,
+        sampled in any::<bool>(),
+    ) {
+        let p = EdgeProtocol::new(g.clone());
+        let mut updates = build_updates(&p, &g, seed);
+        prop_assume!(!updates.is_empty());
+        updates.truncate(1);
+        let sections: FlushSections<_> =
+            vec![(PartitionId(0), vec![(1, updates.pop().expect("one update"))])];
+        let payload = encode_multi_batch(&sections, 0);
+        // tag, section count, partition, update count, seq: one byte each;
+        // then the flag varint (0: no pad, unsampled).
+        prop_assert_eq!(&payload[..6], &[3u8, 1, 0, 1, 1, 0][..]);
+        let mut forged = payload[..5].to_vec();
+        write_varint(&mut forged, (pad << 1) | u64::from(sampled));
+        if sampled {
+            write_varint(&mut forged, 1_700_000_000_000_000);
+        }
+        forged.extend_from_slice(&payload[6..]);
+        let err = decode_multi_batch(&forged, |i| Some(p.new_clock(i)))
+            .expect_err("pad past the frame end must be refused");
+        prop_assert!(err.to_string().contains("truncated pad"), "{}", err);
+    }
+
     /// The concrete upgrade scenario: a peer still speaking an older wire
     /// version (v2 partition tagging, v3 unacknowledged frame packing, v5
-    /// stamp-free updates, v6 windowed acks) is refused by a current node
-    /// at the handshake with an error naming both versions —
-    /// mixed-version clusters fail loudly, not silently.
+    /// stamp-free updates, v6 windowed acks, v8 separate stamp and pad
+    /// varints) is refused by a current node at the handshake with an
+    /// error naming both versions — mixed-version clusters fail loudly,
+    /// not silently.
     #[test]
     fn stale_version_hellos_refused_by_current(map in arb_partition_map()) {
         let mut payload = encode_peer_hello(&PeerHello { node: 0, map });
         prop_assert_eq!(u64::from(payload[1]), prcc_service::WIRE_VERSION);
         let current = prcc_service::WIRE_VERSION;
-        for old in [2u8, 3, 4, 5, 6] {
+        for old in [2u8, 3, 4, 5, 6, 7, 8] {
             payload[1] = old; // an old peer's hello differs exactly here
             let err = decode_peer_hello(&payload).unwrap_err();
             prop_assert!(
